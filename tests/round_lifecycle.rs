@@ -250,3 +250,63 @@ fn cohort_membership_does_not_perturb_other_clients_training() {
         "a dropped-out peer changed another client's training stream"
     );
 }
+
+/// The session runs each round on the sampled cohort alone, under a plan
+/// whose indices are slots in that cohort. Over a churny sampler (a
+/// strict subset of the fleet, with dropouts and stragglers) every one of
+/// the seven frameworks must reproduce, bitwise, manual `run_round` calls
+/// over the whole fleet under the fleet-indexed plan: same global model
+/// and same per-client outcome trail.
+#[test]
+fn churny_cohort_session_matches_fleet_indexed_rounds_bitwise_for_all_seven() {
+    let cfg = DatasetConfig {
+        devices: DeviceProfile::paper_fleet(),
+        ..DatasetConfig::tiny()
+    };
+    let data = BuildingDataset::generate(Building::tiny(31), &cfg, 31);
+    let sampler = || {
+        CohortSampler::uniform(3, 31)
+            .with_dropout(0.2)
+            .with_straggle(0.2)
+    };
+    let rounds = 3;
+    for template in all_seven(&data) {
+        let mut manual = template.clone_box();
+        let mut fleet = attacked_fleet(&data);
+        let manual_trail: Vec<_> = (0..rounds)
+            .map(|round| {
+                let plan = sampler().plan(round, fleet.len());
+                manual.run_round(&mut fleet, &plan).clients
+            })
+            .collect();
+
+        let mut session = FlSession::builder(template.clone_box())
+            .clients(attacked_fleet(&data))
+            .sampler(sampler())
+            .build();
+        session.run(rounds);
+        assert!(
+            session
+                .reports()
+                .iter()
+                .any(|r| r.dropped() + r.straggled() > 0),
+            "the sampler drew no churn"
+        );
+
+        assert_eq!(
+            session.framework().global_params(),
+            manual.global_params(),
+            "{}: cohort session diverged from fleet-indexed rounds",
+            template.name()
+        );
+        for (round, (report, manual)) in session.reports().iter().zip(&manual_trail).enumerate() {
+            assert!(report.clients.len() <= 3);
+            assert_eq!(
+                &report.clients,
+                manual,
+                "{}: outcome trail diverged in round {round}",
+                template.name()
+            );
+        }
+    }
+}

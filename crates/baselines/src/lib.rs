@@ -3,15 +3,19 @@
 //!
 //! | Framework | Global model | Aggregation | Defense |
 //! |---|---|---|---|
-//! | [`FedLoc`] | 3-layer DNN | FedAvg | none |
-//! | [`FedHil`] | 3-layer DNN | selective per-tensor | outlier tensors dropped |
-//! | [`KrumFramework`] | small MLP | Krum selection | distance-based LM filtering |
-//! | [`FedCc`] | DNN | 2-means clustering | minority cluster dropped |
-//! | [`FedLs`] | large DNN + server AE | latent-space filtering | anomalous updates dropped |
+//! | [`fedloc()`] | 3-layer DNN | FedAvg | none |
+//! | [`fedhil()`] | 3-layer DNN | selective per-tensor | outlier tensors dropped |
+//! | [`krum()`] | small MLP | Krum selection | distance-based LM filtering |
+//! | [`fedcc()`] | DNN | 2-means clustering | minority cluster dropped |
+//! | [`fedls()`] | large DNN + server AE | latent-space filtering | anomalous updates dropped |
 //! | [`Onlad`] | DNN + on-device AE | FedAvg | poisoned *samples* dropped on device |
 //!
-//! All implement [`safeloc_fl::Framework`] so the benches treat
-//! them interchangeably with SAFELOC. Layer widths (see
+//! The first five differ only in their name, layer widths and defense
+//! pipeline, so each is a constructor returning a configured
+//! [`SequentialFlServer`](safeloc_fl::SequentialFlServer). ONLAD trains a
+//! second, on-device model and is its own type. All implement
+//! [`safeloc_fl::Framework`] so the benches treat them interchangeably
+//! with SAFELOC. Layer widths (see
 //! [`arch`]) are chosen to preserve the paper's Table I parameter-count
 //! ordering (SAFELOC < FEDCC < FEDHIL < ONLAD < FEDLOC < FEDLS); the
 //! originals' exact widths are not published for the localization setting.
@@ -19,12 +23,12 @@
 //! # Example
 //!
 //! ```
-//! use safeloc_baselines::FedLoc;
+//! use safeloc_baselines::fedloc;
 //! use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
 //! use safeloc_fl::{Client, Framework, RoundPlan, ServerConfig};
 //!
 //! let data = BuildingDataset::generate(Building::tiny(2), &DatasetConfig::tiny(), 2);
-//! let mut f = FedLoc::new(data.building.num_aps(), data.building.num_rps(), ServerConfig::tiny());
+//! let mut f = fedloc(data.building.num_aps(), data.building.num_rps(), ServerConfig::tiny());
 //! f.pretrain(&data.server_train);
 //! let mut clients = Client::from_dataset(&data, 0);
 //! let plan = RoundPlan::full(clients.len());
@@ -34,19 +38,11 @@
 //! ```
 
 pub mod arch;
-pub mod fedcc;
-pub mod fedhil;
-pub mod fedloc;
-pub mod fedls;
-pub mod krum;
 pub mod onlad;
+pub mod sequential;
 
-pub use fedcc::FedCc;
-pub use fedhil::FedHil;
-pub use fedloc::FedLoc;
-pub use fedls::FedLs;
-pub use krum::KrumFramework;
 pub use onlad::Onlad;
+pub use sequential::{fedcc, fedhil, fedloc, fedls, krum};
 
 use safeloc_fl::{Framework, ServerConfig};
 
@@ -58,9 +54,9 @@ pub fn all_baselines(
 ) -> Vec<Box<dyn Framework>> {
     vec![
         Box::new(Onlad::new(input_dim, n_classes, cfg)),
-        Box::new(FedLs::new(input_dim, n_classes, cfg)),
-        Box::new(FedCc::new(input_dim, n_classes, cfg)),
-        Box::new(FedHil::new(input_dim, n_classes, cfg)),
-        Box::new(FedLoc::new(input_dim, n_classes, cfg)),
+        Box::new(fedls(input_dim, n_classes, cfg)),
+        Box::new(fedcc(input_dim, n_classes, cfg)),
+        Box::new(fedhil(input_dim, n_classes, cfg)),
+        Box::new(fedloc(input_dim, n_classes, cfg)),
     ]
 }

@@ -3,7 +3,7 @@
 
 use safeloc::{SafeLoc, SafeLocConfig};
 use safeloc_attacks::{Attack, PoisonInjector};
-use safeloc_baselines::{FedCc, FedHil, FedLoc, FedLs, Onlad};
+use safeloc_baselines::all_baselines;
 use safeloc_dataset::{Building, BuildingDataset, DatasetConfig, DeviceProfile};
 use safeloc_fl::report::pooled_rate;
 use safeloc_fl::{Client, CohortSampler, FlSession, Framework, RoundReport, ServerConfig};
@@ -115,15 +115,13 @@ pub fn build_frameworks(
     n_classes: usize,
     cfg: &HarnessConfig,
 ) -> Vec<Box<dyn Framework>> {
-    let server = cfg.server_config();
-    vec![
-        Box::new(SafeLoc::new(input_dim, n_classes, cfg.safeloc_config())),
-        Box::new(Onlad::new(input_dim, n_classes, server)),
-        Box::new(FedLs::new(input_dim, n_classes, server)),
-        Box::new(FedCc::new(input_dim, n_classes, server)),
-        Box::new(FedHil::new(input_dim, n_classes, server)),
-        Box::new(FedLoc::new(input_dim, n_classes, server)),
-    ]
+    let mut frameworks: Vec<Box<dyn Framework>> = vec![Box::new(SafeLoc::new(
+        input_dim,
+        n_classes,
+        cfg.safeloc_config(),
+    ))];
+    frameworks.extend(all_baselines(input_dim, n_classes, cfg.server_config()));
+    frameworks
 }
 
 /// Builds and pretrains a SAFELOC instance for `data`.

@@ -6,15 +6,32 @@
 use safeloc::{FusedConfig, FusedNetwork, FusedWorkspace};
 use safeloc_nn::{Adam, HasParams, Matrix, MseLoss, Optimizer, SparseCrossEntropyLoss};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `Some(n)` while a measuring window is armed on this thread. Counting
+    // per thread keeps sibling tests, which run concurrently on their own
+    // threads, out of the figure.
+    static WINDOW: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = WINDOW.try_with(|w| {
+        if let Some(n) = w.get() {
+            w.set(Some(n + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. Counting only touches a
+// const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,13 +40,36 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations `f` makes on the calling thread. Spawning a thread
+/// allocates its handle and closure on the spawning thread, so a step that
+/// fans out to worker threads is counted as well
+/// (`spawning_a_thread_in_the_window_is_counted`).
+fn allocations_in(f: impl FnOnce()) -> usize {
+    WINDOW.with(|w| w.set(Some(0)));
+    f();
+    WINDOW.with(|w| w.replace(None)).unwrap_or(0)
+}
+
+/// The window must see a thread spawned inside it: otherwise a step that
+/// moved its work onto worker threads would pass `allocations_in(..) == 0`
+/// while allocating there.
+#[test]
+fn spawning_a_thread_in_the_window_is_counted() {
+    let spawned = allocations_in(|| {
+        std::thread::scope(|s| {
+            s.spawn(|| {});
+        })
+    });
+    assert!(spawned > 0, "a thread spawn went uncounted");
+}
 
 /// The paper's fused geometry for Building 1 (203 APs, 60 RPs).
 fn paper_network(seed: u64) -> FusedNetwork {
@@ -56,16 +96,15 @@ fn fused_step_is_allocation_free_after_warmup() {
         net.train_batch_weighted_with(&x, &labels, &mut opt, true, 1.0, &mut ws);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        net.train_batch_weighted_with(&x, &labels, &mut opt, true, 1.0, &mut ws);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocated = allocations_in(|| {
+        for _ in 0..5 {
+            net.train_batch_weighted_with(&x, &labels, &mut opt, true, 1.0, &mut ws);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "warm fused training step allocated {} times",
-        after - before
+        allocated
     );
 }
 
@@ -80,16 +119,15 @@ fn fused_step_is_allocation_free_in_joint_decoder_mode_too() {
     for _ in 0..2 {
         net.train_batch_weighted_with(&x, &labels, &mut opt, false, 0.5, &mut ws);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        net.train_batch_weighted_with(&x, &labels, &mut opt, false, 0.5, &mut ws);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocated = allocations_in(|| {
+        for _ in 0..5 {
+            net.train_batch_weighted_with(&x, &labels, &mut opt, false, 0.5, &mut ws);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "warm joint-decoder step allocated {} times",
-        after - before
+        allocated
     );
 }
 

@@ -1,13 +1,13 @@
-//! Streaming fleets: city-scale rounds with cohort-bounded memory.
+//! Fleet providers: where a session's clients come from.
 //!
-//! [`FlSession`](crate::FlSession) owns its whole fleet as `Vec<Client>`,
-//! which is the right shape for paper-scale experiments (tens of clients)
-//! but materializes every client's local fingerprints up front — at
-//! city scale (10⁴–10⁵ phones) the fleet dominates peak RSS even though a
-//! round only ever touches its cohort. [`StreamingFlSession`] bounds peak
-//! memory by cohort size instead: a [`FleetProvider`] materializes exactly
-//! the clients a round's [`RoundPlan`] names, the framework runs over that
-//! slice, and the provider reclaims them afterwards.
+//! An [`FlSession`](crate::FlSession) never holds its fleet as a whole.
+//! Each round it asks a [`FleetProvider`] for exactly the clients the
+//! round's [`RoundPlan`](crate::RoundPlan) names, runs the framework over
+//! that cohort, and hands the clients back. [`MaterializedFleet`] lends
+//! them out of a `Vec<Client>`, which is the right shape for paper-scale
+//! experiments (tens of clients). At city scale (10⁴–10⁵ phones) a
+//! provider that builds clients on demand bounds peak memory by cohort
+//! size rather than fleet size.
 //!
 //! Determinism is preserved by construction:
 //!
@@ -17,8 +17,8 @@
 //!   was dropped.
 //! * The cohort slice is ordered by fleet index (plans sort on
 //!   construction) and the remapped plan preserves per-client
-//!   [`Availability`](crate::Availability), so the framework sees the same active clients in
-//!   the same order as a materialized run.
+//!   [`Availability`](crate::Availability), so the framework sees the same
+//!   active clients in the same order as a run over the whole fleet.
 //! * Round reports keep true fleet identities: report entries carry
 //!   `Client::id`, not the cohort slot.
 //!
@@ -28,10 +28,6 @@
 //! on demand.
 
 use crate::client::Client;
-use crate::framework::Framework;
-use crate::report::{pooled_rate, RoundReport};
-use crate::round::{CohortSampler, RoundPlan};
-use crate::session::ModelPublisher;
 
 impl Client {
     /// `true` if the client carries state that must survive between
@@ -52,8 +48,10 @@ impl Client {
 /// rebuilt copy must be bitwise the reclaimed one, so providers are free
 /// to drop it; stateful clients must round-trip through `reclaim`.
 ///
+/// `Send` so sessions can run on background threads.
+///
 /// [`reclaim`]: FleetProvider::reclaim
-pub trait FleetProvider {
+pub trait FleetProvider: Send {
     /// Total fleet size (clients are indexed `0..len()`).
     fn len(&self) -> usize;
 
@@ -74,17 +72,15 @@ pub trait FleetProvider {
     fn reclaim(&mut self, client: Client);
 }
 
-/// The trivial provider: a fully materialized fleet behind the
-/// [`FleetProvider`] interface.
+/// A fully materialized fleet behind the [`FleetProvider`] interface —
+/// what [`FlSessionBuilder::clients`](crate::FlSessionBuilder::clients)
+/// builds.
 ///
-/// Useful for equivalence tests (streaming over a materialized fleet must
-/// reproduce [`FlSession`](crate::FlSession) bitwise) and for small fleets
-/// driven through streaming-only call sites. Clients are stored in place;
-/// `materialize` clones and `reclaim` writes back, so stateful clients
-/// (injectors, compressor residuals) persist exactly as they would in a
-/// `Vec<Client>` fleet.
+/// `materialize` moves a client out of its slot and `reclaim` moves it
+/// back, so a round copies no client and stateful clients (injectors,
+/// compressor residuals) persist exactly as in a `Vec<Client>`.
 pub struct MaterializedFleet {
-    clients: Vec<Client>,
+    clients: Vec<Option<Client>>,
 }
 
 impl MaterializedFleet {
@@ -102,17 +98,9 @@ impl MaterializedFleet {
                 c.id
             );
         }
-        Self { clients }
-    }
-
-    /// The underlying fleet.
-    pub fn clients(&self) -> &[Client] {
-        &self.clients
-    }
-
-    /// Mutable fleet access (e.g. to compromise a client between rounds).
-    pub fn clients_mut(&mut self) -> &mut [Client] {
-        &mut self.clients
+        Self {
+            clients: clients.into_iter().map(Some).collect(),
+        }
     }
 }
 
@@ -122,174 +110,14 @@ impl FleetProvider for MaterializedFleet {
     }
 
     fn materialize(&mut self, index: usize) -> Client {
-        self.clients[index].clone()
+        self.clients[index]
+            .take()
+            .unwrap_or_else(|| panic!("MaterializedFleet: client {index} is already lent out"))
     }
 
     fn reclaim(&mut self, client: Client) {
         let slot = client.id;
-        self.clients[slot] = client;
-    }
-}
-
-/// Builder for [`StreamingFlSession`].
-pub struct StreamingSessionBuilder {
-    framework: Box<dyn Framework>,
-    provider: Box<dyn FleetProvider>,
-    sampler: CohortSampler,
-    publisher: Option<Box<dyn ModelPublisher>>,
-}
-
-impl StreamingSessionBuilder {
-    /// Sets the cohort sampler (default: full participation, no churn).
-    /// Full participation over a streaming fleet still materializes the
-    /// whole cohort — pick a bounded strategy to bound memory.
-    pub fn sampler(mut self, sampler: CohortSampler) -> Self {
-        self.sampler = sampler;
-        self
-    }
-
-    /// Attaches a [`ModelPublisher`] observing every round's aggregated
-    /// global model (default: none).
-    pub fn publisher(mut self, publisher: Box<dyn ModelPublisher>) -> Self {
-        self.publisher = Some(publisher);
-        self
-    }
-
-    /// Finalizes the session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sampler is not usable over the provider's fleet size
-    /// (same validation as [`FlSession`](crate::FlSession)).
-    pub fn build(self) -> StreamingFlSession {
-        if let Err(problem) = self.sampler.validate_for_fleet(self.provider.len()) {
-            panic!("StreamingFlSession: {problem}");
-        }
-        StreamingFlSession {
-            framework: self.framework,
-            provider: self.provider,
-            sampler: self.sampler,
-            publisher: self.publisher,
-            history: Vec::new(),
-        }
-    }
-}
-
-/// A federated session whose peak memory is bounded by cohort size, not
-/// fleet size.
-///
-/// Each round: draw the plan over the *fleet*, materialize only the
-/// cohort, run the framework over the cohort slice under a slot-remapped
-/// plan (availabilities preserved), then hand every client back to the
-/// provider. See the module docs for the determinism argument.
-pub struct StreamingFlSession {
-    framework: Box<dyn Framework>,
-    provider: Box<dyn FleetProvider>,
-    sampler: CohortSampler,
-    publisher: Option<Box<dyn ModelPublisher>>,
-    history: Vec<RoundReport>,
-}
-
-impl StreamingFlSession {
-    /// Starts building a session around a (typically pretrained)
-    /// framework and a fleet provider.
-    pub fn builder(
-        framework: Box<dyn Framework>,
-        provider: Box<dyn FleetProvider>,
-    ) -> StreamingSessionBuilder {
-        StreamingSessionBuilder {
-            framework,
-            provider,
-            sampler: CohortSampler::full(),
-            publisher: None,
-        }
-    }
-
-    /// Executes the next round: plan over the fleet, materialize the
-    /// cohort, run, reclaim, record.
-    pub fn next_round(&mut self) -> &RoundReport {
-        let plan = self.sampler.plan(self.history.len(), self.provider.len());
-        // Plans are sorted by fleet index on construction, so the cohort
-        // slice is in fleet order — the same order a materialized fleet
-        // presents its active clients in.
-        let mut cohort: Vec<Client> = plan
-            .cohort()
-            .iter()
-            .map(|&(i, _)| self.provider.materialize(i))
-            .collect();
-        crate::metrics::fl_metrics().on_streaming_materialized(cohort.len() as i64);
-        let slot_plan = RoundPlan::new(
-            plan.cohort()
-                .iter()
-                .enumerate()
-                .map(|(slot, &(_, availability))| (slot, availability))
-                .collect(),
-        );
-        let report = self.framework.run_round(&mut cohort, &slot_plan);
-        let reclaimed = cohort.len() as i64;
-        for client in cohort {
-            self.provider.reclaim(client);
-        }
-        crate::metrics::fl_metrics().on_streaming_materialized(-reclaimed);
-        if let Some(publisher) = &mut self.publisher {
-            publisher.publish_round(&report, &self.framework.global_params());
-        }
-        self.history.push(report);
-        self.history.last().expect("just pushed")
-    }
-
-    /// Runs `n` more rounds and returns their reports.
-    pub fn run(&mut self, n: usize) -> &[RoundReport] {
-        let start = self.history.len();
-        for _ in 0..n {
-            self.next_round();
-        }
-        &self.history[start..]
-    }
-
-    /// Rounds executed by this session.
-    pub fn rounds_run(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Every report so far, in round order.
-    pub fn reports(&self) -> &[RoundReport] {
-        &self.history
-    }
-
-    /// The framework under the session.
-    pub fn framework(&self) -> &dyn Framework {
-        self.framework.as_ref()
-    }
-
-    /// Mutable framework access.
-    pub fn framework_mut(&mut self) -> &mut dyn Framework {
-        self.framework.as_mut()
-    }
-
-    /// The fleet provider.
-    pub fn provider(&self) -> &dyn FleetProvider {
-        self.provider.as_ref()
-    }
-
-    /// Mutable provider access.
-    pub fn provider_mut(&mut self) -> &mut dyn FleetProvider {
-        self.provider.as_mut()
-    }
-
-    /// Pooled attacker-rejection rate over every round run so far.
-    pub fn attacker_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::attacker_rejection_rate)
-    }
-
-    /// Pooled honest-rejection rate over every round run so far.
-    pub fn honest_rejection_rate(&self) -> Option<f32> {
-        pooled_rate(self.history.iter(), RoundReport::honest_rejection_rate)
-    }
-
-    /// Dismantles the session into framework, provider and history.
-    pub fn into_parts(self) -> (Box<dyn Framework>, Box<dyn FleetProvider>, Vec<RoundReport>) {
-        (self.framework, self.provider, self.history)
+        self.clients[slot] = Some(client);
     }
 }
 
@@ -298,10 +126,13 @@ mod tests {
     use super::*;
     use crate::defense::DefensePipeline;
     use crate::delta::{DeltaCompressor, DeltaSpec};
+    use crate::round::CohortSampler;
     use crate::server::{SequentialFlServer, ServerConfig};
     use crate::session::FlSession;
+    use crate::Framework;
     use safeloc_attacks::{Attack, PoisonInjector};
     use safeloc_dataset::{Building, BuildingDataset, DatasetConfig};
+    use std::collections::BTreeMap;
 
     fn dataset() -> BuildingDataset {
         BuildingDataset::generate(Building::tiny(4), &DatasetConfig::tiny(), 5)
@@ -317,13 +148,48 @@ mod tests {
         s
     }
 
+    /// Fleet client `i` as first built: one stateful attacker and one
+    /// compressing client, to exercise the reclaim path for both kinds of
+    /// round-to-round state.
+    fn configured(mut client: Client) -> Client {
+        match client.id {
+            1 => client.injector = Some(PoisonInjector::new(Attack::label_flip(1.0), 3)),
+            2 => client.compressor = Some(DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.1 })),
+            _ => {}
+        }
+        client
+    }
+
     fn fleet(data: &BuildingDataset) -> Vec<Client> {
-        let mut clients = Client::from_dataset(data, 0);
-        // One stateful attacker and one compressing client, to exercise
-        // the reclaim path for both kinds of round-to-round state.
-        clients[1].injector = Some(PoisonInjector::new(Attack::label_flip(1.0), 3));
-        clients[2].compressor = Some(DeltaCompressor::new(DeltaSpec::TopK { fraction: 0.1 }));
-        clients
+        Client::from_dataset(data, 0)
+            .into_iter()
+            .map(configured)
+            .collect()
+    }
+
+    /// A streaming provider: keeps only clients with round-to-round state
+    /// and rebuilds every other one from its seed stream on demand.
+    struct RebuildOnDemand {
+        data: BuildingDataset,
+        kept: BTreeMap<usize, Client>,
+    }
+
+    impl FleetProvider for RebuildOnDemand {
+        fn len(&self) -> usize {
+            self.data.num_clients()
+        }
+
+        fn materialize(&mut self, index: usize) -> Client {
+            self.kept
+                .remove(&index)
+                .unwrap_or_else(|| configured(Client::single_from_dataset(&self.data, 0, index)))
+        }
+
+        fn reclaim(&mut self, client: Client) {
+            if client.has_round_state() {
+                self.kept.insert(client.id, client);
+            }
+        }
     }
 
     #[test]
@@ -354,11 +220,14 @@ mod tests {
             .build();
         dense.run(4);
 
-        let provider = MaterializedFleet::new(fleet(&data));
-        let mut streaming =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
-                .sampler(sampler())
-                .build();
+        let provider = RebuildOnDemand {
+            data: data.clone(),
+            kept: BTreeMap::new(),
+        };
+        let mut streaming = FlSession::builder(Box::new(pretrained(&data)))
+            .provider(Box::new(provider))
+            .sampler(sampler())
+            .build();
         streaming.run(4);
 
         assert_eq!(
@@ -374,13 +243,12 @@ mod tests {
     #[test]
     fn streaming_reports_true_fleet_ids_not_cohort_slots() {
         let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
-        let n = provider.len();
-        let mut session =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
-                .sampler(CohortSampler::uniform(2, 7))
-                .build();
-        let mut seen = std::collections::HashSet::new();
+        let n = data.num_clients();
+        let mut session = FlSession::builder(Box::new(pretrained(&data)))
+            .clients(fleet(&data))
+            .sampler(CohortSampler::uniform(2, 7))
+            .build();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..4 {
             let report = session.next_round();
             assert_eq!(report.clients.len(), 2);
@@ -398,9 +266,9 @@ mod tests {
     #[test]
     fn reclaim_persists_compressor_residuals() {
         let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
-        let mut session =
-            StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider)).build();
+        let mut session = FlSession::builder(Box::new(pretrained(&data)))
+            .clients(fleet(&data))
+            .build();
         session.run(1);
         // Downcast-free check: materialize the compressing client again
         // and confirm its residual survived the round.
@@ -411,17 +279,6 @@ mod tests {
         );
         assert!(c.has_round_state());
         session.provider_mut().reclaim(c);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per client")]
-    fn sampler_validation_runs_at_build() {
-        let data = dataset();
-        let provider = MaterializedFleet::new(fleet(&data));
-        let n = provider.len();
-        let _ = StreamingFlSession::builder(Box::new(pretrained(&data)), Box::new(provider))
-            .sampler(CohortSampler::weighted(2, vec![1.0; n - 1], 5))
-            .build();
     }
 
     #[test]

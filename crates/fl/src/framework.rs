@@ -10,10 +10,12 @@ use safeloc_nn::{Matrix, NamedParams};
 /// A complete FL indoor-localization framework: one global model plus one
 /// aggregation rule plus the client-side protocol.
 ///
-/// Implemented by [`SequentialFlServer`](crate::SequentialFlServer) (and the
-/// named baselines wrapping it in `safeloc-baselines`) and by the `safeloc`
-/// crate's `SafeLoc` framework. The benchmark harness treats every framework
-/// identically: `pretrain` → repeated [`Framework::run_round`] → `predict`.
+/// Implemented by [`SequentialFlServer`](crate::SequentialFlServer) (which
+/// the `safeloc-baselines` constructors configure as FEDLOC, FEDHIL, KRUM,
+/// FEDCC and FEDLS), ONLAD, the `safeloc` crate's `SafeLoc` framework and
+/// the cross-process `RemoteFlServer`. The benchmark harness treats every
+/// framework identically: `pretrain` → repeated [`Framework::run_round`] →
+/// `predict`.
 /// Most callers should not drive `run_round` by hand: an
 /// [`FlSession`](crate::FlSession) owns the framework, the fleet and the
 /// plan stream, and yields one [`RoundReport`] per round.
@@ -32,6 +34,8 @@ pub trait Framework: Send {
     /// One federated round under `plan`: distribute the GM to the plan's
     /// participating cohort, let each train (and possibly poison),
     /// aggregate, and report per-client outcomes and timings.
+    ///
+    /// Plan indices are positions in the `clients` slice passed in.
     ///
     /// A [`RoundPlan::full`] plan must reproduce the seed engine's round
     /// bit for bit (pinned by `tests/round_lifecycle.rs`).
@@ -59,22 +63,7 @@ pub trait Framework: Send {
     /// trained global model and the client-side protocol. This is how a
     /// scenario spec sweeps defense compositions over one pretrained
     /// framework (the `DefenseSpec` axis in `safeloc-bench`).
-    ///
-    /// The default declines: frameworks whose defense is inseparable from
-    /// their protocol can refuse, and the suite surfaces the message as a
-    /// cell error instead of silently running the wrong defense.
-    ///
-    /// # Errors
-    ///
-    /// A message explaining why this framework's defense cannot be
-    /// replaced.
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
-        let _ = aggregator;
-        Err(format!(
-            "{} does not support replacing its server-side defense",
-            self.name()
-        ))
-    }
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>);
 
     /// Classification accuracy helper.
     fn accuracy(&self, x: &Matrix, labels: &[usize]) -> f32 {

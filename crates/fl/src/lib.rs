@@ -39,10 +39,14 @@
 //!   trained (with aggregation weight), dropped out, straggled, or
 //!   rejected by a named defense rule with its score.
 //! * [`FlSession`] — framework + fleet + plan stream in one value; the
-//!   harness and examples drive rounds through it.
+//!   harness and examples drive rounds through it. Each round it
+//!   materializes only the sampled cohort from a [`FleetProvider`]
+//!   ([`MaterializedFleet`] for an in-memory `Vec<Client>`, or a provider
+//!   that builds clients on demand for city-scale fleets).
 //! * [`SequentialFlServer`] — a complete FL server around a
-//!   [`Sequential`](safeloc_nn::Sequential) DNN global model; every baseline
-//!   framework is this server with a different architecture + aggregator.
+//!   [`Sequential`](safeloc_nn::Sequential) DNN global model; the FEDLOC,
+//!   FEDHIL, KRUM, FEDCC and FEDLS baselines are this server built with a
+//!   different name, architecture and defense pipeline.
 //! * [`Framework`] — the uniform interface the benchmark harness drives:
 //!   pretrain → federated rounds → predict.
 //!
@@ -69,7 +73,7 @@
 //!     .clients(Client::from_dataset(&data, 1))
 //!     .build();
 //! let report = session.next_round();
-//! assert_eq!(report.accepted(), session.clients().len());
+//! assert_eq!(report.accepted(), session.provider().len());
 //! let acc = session
 //!     .framework()
 //!     .accuracy(&data.client_test[0].x, &data.client_test[0].labels);
@@ -96,7 +100,7 @@ pub use aggregate::{
 pub use client::{Client, LabelingMode, LocalTrainConfig};
 pub use defense::{Combiner, DefensePipeline, DefenseStage};
 pub use delta::{DeltaCompressor, DeltaRepr, DeltaSpec};
-pub use fleet::{FleetProvider, MaterializedFleet, StreamingFlSession};
+pub use fleet::{FleetProvider, MaterializedFleet};
 pub use framework::Framework;
 pub use metrics::{fl_metrics, FlMetrics};
 pub use report::{

@@ -161,14 +161,6 @@ impl SequentialFlServer {
         self.aggregator.name()
     }
 
-    /// Replaces the server-side defense, keeping the trained global model —
-    /// how the scenario-suite engine swaps composed
-    /// [`DefensePipeline`](crate::defense::DefensePipeline)s into a
-    /// pretrained framework.
-    pub fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
-        self.aggregator = aggregator;
-    }
-
     /// Collects updates from the plan's participating clients (shared with
     /// tests).
     ///
@@ -252,9 +244,8 @@ impl Framework for SequentialFlServer {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
-        SequentialFlServer::set_aggregator(self, aggregator);
-        Ok(())
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
+        self.aggregator = aggregator;
     }
 }
 

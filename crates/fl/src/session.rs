@@ -1,11 +1,20 @@
 //! Composable FL sessions: framework + fleet + plan stream in one value.
 //!
 //! An [`FlSession`] owns everything a federated deployment needs — the
-//! [`Framework`], the client fleet, and a seeded [`CohortSampler`]
-//! producing one [`RoundPlan`](crate::RoundPlan) per round — and yields a [`RoundReport`]
-//! per executed round. The benchmark harness, the paper-figure binaries
-//! and the examples all drive rounds through a session; calling
-//! [`Framework::run_round`] by hand is for engines and tests.
+//! [`Framework`], the client fleet behind a [`FleetProvider`], and a seeded
+//! [`CohortSampler`] producing one [`RoundPlan`] per round — and yields a
+//! [`RoundReport`] per executed round. The benchmark harness, the
+//! paper-figure binaries and the examples all drive rounds through a
+//! session; calling [`Framework::run_round`] by hand is for engines and
+//! tests.
+//!
+//! Every round takes the same four steps: draw the plan over the fleet,
+//! materialize only the cohort, run the framework on the cohort slice
+//! under a slot-remapped plan, and hand the clients back to the provider.
+//! A [`MaterializedFleet`] (what [`FlSessionBuilder::clients`] builds)
+//! lends clients out of a `Vec<Client>`; a streaming provider builds them
+//! on demand, so peak memory follows the cohort rather than the fleet
+//! (see [`crate::fleet`]).
 //!
 //! ```
 //! use safeloc_fl::{
@@ -32,9 +41,10 @@
 //! ```
 
 use crate::client::Client;
+use crate::fleet::{FleetProvider, MaterializedFleet};
 use crate::framework::Framework;
 use crate::report::{pooled_rate, RoundReport};
-use crate::round::CohortSampler;
+use crate::round::{CohortSampler, RoundPlan};
 use safeloc_nn::NamedParams;
 
 /// A hook observing every aggregated global model a session produces —
@@ -56,20 +66,33 @@ pub trait ModelPublisher: Send {
 /// Builder for [`FlSession`] — see the module docs for a full example.
 pub struct FlSessionBuilder {
     framework: Box<dyn Framework>,
-    clients: Vec<Client>,
+    provider: Box<dyn FleetProvider>,
     sampler: CohortSampler,
     publisher: Option<Box<dyn ModelPublisher>>,
 }
 
 impl FlSessionBuilder {
-    /// Sets the client fleet.
-    pub fn clients(mut self, clients: Vec<Client>) -> Self {
-        self.clients = clients;
+    /// Sets a fully materialized client fleet: shorthand for
+    /// `.provider(Box::new(MaterializedFleet::new(clients)))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some client's `id` differs from its position (see
+    /// [`MaterializedFleet::new`]).
+    pub fn clients(self, clients: Vec<Client>) -> Self {
+        self.provider(Box::new(MaterializedFleet::new(clients)))
+    }
+
+    /// Sets the source the session materializes each round's cohort from
+    /// (default: an empty fleet).
+    pub fn provider(mut self, provider: Box<dyn FleetProvider>) -> Self {
+        self.provider = provider;
         self
     }
 
     /// Sets the cohort sampler (default: full participation, no churn —
-    /// the paper's round shape).
+    /// the paper's round shape). Full participation materializes the whole
+    /// fleet every round; pick a bounded strategy to bound memory.
     pub fn sampler(mut self, sampler: CohortSampler) -> Self {
         self.sampler = sampler;
         self
@@ -91,12 +114,12 @@ impl FlSessionBuilder {
     /// weight vector whose length differs from the fleet size, which would
     /// silently make the tail of the fleet unsampleable.
     pub fn build(self) -> FlSession {
-        if let Err(problem) = self.sampler.validate_for_fleet(self.clients.len()) {
+        if let Err(problem) = self.sampler.validate_for_fleet(self.provider.len()) {
             panic!("FlSession: {problem}");
         }
         FlSession {
             framework: self.framework,
-            clients: self.clients,
+            provider: self.provider,
             sampler: self.sampler,
             publisher: self.publisher,
             history: Vec::new(),
@@ -111,7 +134,7 @@ impl FlSessionBuilder {
 /// own (higher) internal counter for [`RoundReport::round`].
 pub struct FlSession {
     framework: Box<dyn Framework>,
-    clients: Vec<Client>,
+    provider: Box<dyn FleetProvider>,
     sampler: CohortSampler,
     publisher: Option<Box<dyn ModelPublisher>>,
     history: Vec<RoundReport>,
@@ -123,17 +146,41 @@ impl FlSession {
     pub fn builder(framework: Box<dyn Framework>) -> FlSessionBuilder {
         FlSessionBuilder {
             framework,
-            clients: Vec::new(),
+            provider: Box::new(MaterializedFleet::new(Vec::new())),
             sampler: CohortSampler::full(),
             publisher: None,
         }
     }
 
-    /// Executes the next round: draws the plan, runs it, records the
-    /// report, notifies the publisher (if any) and returns the report.
+    /// Executes the next round: draws the plan over the fleet, runs the
+    /// framework on the materialized cohort, hands the clients back,
+    /// records the report, notifies the publisher (if any) and returns the
+    /// report.
     pub fn next_round(&mut self) -> &RoundReport {
-        let plan = self.sampler.plan(self.history.len(), self.clients.len());
-        let report = self.framework.run_round(&mut self.clients, &plan);
+        let plan = self.sampler.plan(self.history.len(), self.provider.len());
+        // Plans are sorted by fleet index on construction, so the cohort
+        // slice is in fleet order, and the slot-remapped plan keeps every
+        // member's availability: the framework sees the same active
+        // clients in the same order as a run over the whole fleet.
+        let mut cohort: Vec<Client> = plan
+            .cohort()
+            .iter()
+            .map(|&(i, _)| self.provider.materialize(i))
+            .collect();
+        crate::metrics::fl_metrics().on_streaming_materialized(cohort.len() as i64);
+        let slot_plan = RoundPlan::new(
+            plan.cohort()
+                .iter()
+                .enumerate()
+                .map(|(slot, &(_, availability))| (slot, availability))
+                .collect(),
+        );
+        let report = self.framework.run_round(&mut cohort, &slot_plan);
+        let reclaimed = cohort.len() as i64;
+        for client in cohort {
+            self.provider.reclaim(client);
+        }
+        crate::metrics::fl_metrics().on_streaming_materialized(-reclaimed);
         if let Some(publisher) = &mut self.publisher {
             publisher.publish_round(&report, &self.framework.global_params());
         }
@@ -170,14 +217,15 @@ impl FlSession {
         self.framework.as_mut()
     }
 
-    /// The client fleet.
-    pub fn clients(&self) -> &[Client] {
-        &self.clients
+    /// The fleet provider.
+    pub fn provider(&self) -> &dyn FleetProvider {
+        self.provider.as_ref()
     }
 
-    /// Mutable fleet access (e.g. to compromise a client mid-session).
-    pub fn clients_mut(&mut self) -> &mut [Client] {
-        &mut self.clients
+    /// Mutable provider access (e.g. to compromise a client between
+    /// rounds: materialize it, change it, reclaim it).
+    pub fn provider_mut(&mut self) -> &mut dyn FleetProvider {
+        self.provider.as_mut()
     }
 
     /// Pooled attacker-rejection rate over every round run so far, or
@@ -191,9 +239,10 @@ impl FlSession {
         pooled_rate(self.history.iter(), RoundReport::honest_rejection_rate)
     }
 
-    /// Dismantles the session into framework, fleet and report history.
-    pub fn into_parts(self) -> (Box<dyn Framework>, Vec<Client>, Vec<RoundReport>) {
-        (self.framework, self.clients, self.history)
+    /// Dismantles the session into framework, fleet provider and report
+    /// history.
+    pub fn into_parts(self) -> (Box<dyn Framework>, Box<dyn FleetProvider>, Vec<RoundReport>) {
+        (self.framework, self.provider, self.history)
     }
 }
 
@@ -247,7 +296,7 @@ mod tests {
         assert!(session
             .reports()
             .iter()
-            .all(|r| r.accepted() == session.clients().len()));
+            .all(|r| r.accepted() == session.provider().len()));
     }
 
     #[test]

@@ -3,20 +3,37 @@
 //! performs **zero heap allocations**.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
-//! the workspace and optimizer, snapshots the allocation counter, runs more
-//! steps and asserts the counter did not move.
+//! the workspace and optimizer, then counts the allocations the test's own
+//! thread makes during more steps and asserts there were none.
 
 use safeloc_nn::{Activation, Adam, Matrix, Sequential, Sgd, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `Some(n)` while a measuring window is armed on this thread. Counting
+    // per thread keeps sibling tests, which run concurrently on their own
+    // threads, out of the figure.
+    static WINDOW: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = WINDOW.try_with(|w| {
+        if let Some(n) = w.get() {
+            w.set(Some(n + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. Counting only touches a
+// const-initialized thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,13 +42,36 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations `f` makes on the calling thread. Spawning a thread
+/// allocates its handle and closure on the spawning thread, so a step that
+/// fans out to worker threads is counted as well
+/// (`spawning_a_thread_in_the_window_is_counted`).
+fn allocations_in(f: impl FnOnce()) -> usize {
+    WINDOW.with(|w| w.set(Some(0)));
+    f();
+    WINDOW.with(|w| w.replace(None)).unwrap_or(0)
+}
+
+/// The window must see a thread spawned inside it: otherwise a step that
+/// moved its work onto worker threads would pass `allocations_in(..) == 0`
+/// while allocating there.
+#[test]
+fn spawning_a_thread_in_the_window_is_counted() {
+    let spawned = allocations_in(|| {
+        std::thread::scope(|s| {
+            s.spawn(|| {});
+        })
+    });
+    assert!(spawned > 0, "a thread spawn went uncounted");
+}
 
 fn paper_batch(model: &Sequential, batch: usize) -> (Matrix, Vec<usize>) {
     let x = Matrix::from_fn(batch, model.in_dim(), |r, c| {
@@ -54,16 +94,15 @@ fn classifier_step_is_allocation_free_after_warmup() {
         model.train_batch_with(&x, &labels, &mut opt, &mut ws);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        model.train_batch_with(&x, &labels, &mut opt, &mut ws);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocated = allocations_in(|| {
+        for _ in 0..5 {
+            model.train_batch_with(&x, &labels, &mut opt, &mut ws);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "warm training step allocated {} times",
-        after - before
+        allocated
     );
 }
 
@@ -78,16 +117,15 @@ fn autoencoder_step_is_allocation_free_after_warmup() {
         model.train_batch_autoencoder_with(&x, &mut opt, &mut ws);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..5 {
-        model.train_batch_autoencoder_with(&x, &mut opt, &mut ws);
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocated = allocations_in(|| {
+        for _ in 0..5 {
+            model.train_batch_autoencoder_with(&x, &mut opt, &mut ws);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated, 0,
         "warm autoencoder step allocated {} times",
-        after - before
+        allocated
     );
 }
 

@@ -426,9 +426,8 @@ impl Framework for RemoteFlServer {
         Box::new(self.clone())
     }
 
-    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) -> Result<(), String> {
+    fn set_aggregator(&mut self, aggregator: Box<dyn Aggregator>) {
         self.aggregator = aggregator;
-        Ok(())
     }
 }
 
